@@ -20,11 +20,11 @@ int main(int argc, char** argv) {
   const auto profiles = profiler.profile_all(perfmodel::ModelCatalog::builtin().names());
 
   const std::vector<core::ServiceSpec> services = {
-      {0, "resnet-50", 205, 2500},
-      {1, "inceptionv3", 419, 2000},
-      {2, "mobilenetv2", 167, 3500},
-      {3, "vgg-19", 397, 1100},
-      {4, "bert-large", 6434, 120},
+      {0, "resnet-50", 205, 2500, {}},
+      {1, "inceptionv3", 419, 2000, {}},
+      {2, "mobilenetv2", 167, 3500, {}},
+      {3, "vgg-19", 397, 1100, {}},
+      {4, "bert-large", 6434, 120, {}},
   };
 
   serving::AutoscalerOptions options;

@@ -31,9 +31,11 @@ int main(int argc, char** argv) {
     const int best_baseline = std::min(gpulet.gpu_count, mig.gpu_count);
     const double saving =
         (best_baseline - parva.gpu_count) * gpu_hour_usd * 24 * 30;
+    std::string saving_usd = "$";  // avoids a GCC 12 -Wrestrict false positive
+    saving_usd += format_double(saving, 0);
     table.add_row({std::to_string(scaled.services.size()), std::to_string(gpulet.gpu_count),
                    std::to_string(mig.gpu_count), std::to_string(parva.gpu_count),
-                   "$" + format_double(saving, 0)});
+                   saving_usd});
   }
   table.print(std::cout);
   std::cout << "\n(at $" << gpu_hour_usd << "/GPU-hour; iGniter omitted: it cannot run S5)\n";

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Segment Configurator @ SLO " << slo_ms << " ms, rate " << rate
             << " req/s ===\n";
   core::SegmentConfigurator configurator;
-  const core::ServiceSpec spec{0, model, slo_ms, rate};
+  const core::ServiceSpec spec{0, model, slo_ms, rate, {}};
   auto configured = configurator.triplet_decision(spec, table);
   if (!configured.ok()) {
     std::cout << "no instance size meets the internal latency bound of " << slo_ms * 0.5

@@ -26,9 +26,9 @@ int main() {
 
   // 3. Register services: model + SLO latency (ms) + request rate (req/s).
   const std::vector<core::ServiceSpec> services = {
-      {0, "resnet-50", 205.0, 829.0},
-      {1, "bert-large", 6434.0, 19.0},
-      {2, "mobilenetv2", 167.0, 677.0},
+      {0, "resnet-50", 205.0, 829.0, {}},
+      {1, "bert-large", 6434.0, 19.0, {}},
+      {2, "mobilenetv2", 167.0, 677.0, {}},
   };
 
   // 4. Schedule: Segment Configurator + Segment Allocator.

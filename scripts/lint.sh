@@ -57,12 +57,7 @@ else
   AUDIT=./build/tools/parva_audit
 fi
 
-# Incremental cache: a warm cache makes the second run near-instant (the
-# audit re-analyzes only changed files). Keyed per scan set + config, so
-# the three scans below share one directory. --jobs 0 = all cores.
-CACHE_DIR="${PARVA_AUDIT_CACHE_DIR:-build/audit_cache}"
-JOBS="${PARVA_AUDIT_JOBS:-0}"
-AUDIT_ARGS=(--format "${FORMAT}" --cache-dir "${CACHE_DIR}" --jobs "${JOBS}")
+AUDIT_ARGS=(--format "${FORMAT}")
 [[ -n "${BASELINE}" ]] && AUDIT_ARGS+=(--baseline "${BASELINE}")
 
 SCRATCH_DIR="$(mktemp -d)"
@@ -94,10 +89,7 @@ run_audit() {
   local log="${SCRATCH_DIR}/audit.log"
   "${AUDIT}" "${AUDIT_ARGS[@]}" "$@" >"${log}" 2>&1 || rc=$?
   grep "stale baseline entr" "${log}" >> "${STALE_LOG}" || true
-  # Cache telemetry stays on stderr so a warm rerun's stdout is
-  # byte-identical to the cold run's.
-  grep "^parva_audit: cache " "${log}" >&2 || true
-  grep -v -e "stale baseline entr" -e "^parva_audit: cache " "${log}" || true
+  grep -v "stale baseline entr" "${log}" || true
   grep -oE '\[R[0-9]+\]' "${log}" >> "${RULE_LOG}" || true
   if [[ "${rc}" -ge 2 ]]; then
     echo "lint: parva_audit failed to run (exit ${rc}) -- not a clean pass" >&2

@@ -92,14 +92,14 @@ TEST_F(GpuletTest, MpsUnitsNotMigBacked) {
 }
 
 TEST_F(GpuletTest, ImpossibleSloRejected) {
-  const std::vector<core::ServiceSpec> impossible = {{0, "vgg-19", 0.5, 100}};
+  const std::vector<core::ServiceSpec> impossible = {{0, "vgg-19", 0.5, 100, {}}};
   const auto result = scheduler_.schedule(impossible);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kCapacityExceeded);
 }
 
 TEST_F(GpuletTest, UnknownModelRejected) {
-  const std::vector<core::ServiceSpec> bad = {{0, "mystery", 100, 100}};
+  const std::vector<core::ServiceSpec> bad = {{0, "mystery", 100, 100, {}}};
   const auto result = scheduler_.schedule(bad);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kNotFound);

@@ -16,9 +16,9 @@ class GsliceTest : public ::testing::Test {
   /// A workload mix that comfortably fits one GPU.
   std::vector<core::ServiceSpec> single_gpu_mix() {
     return {
-        {0, "resnet-50", 205, 300},
-        {1, "mobilenetv2", 167, 250},
-        {2, "densenet-121", 183, 120},
+        {0, "resnet-50", 205, 300, {}},
+        {1, "mobilenetv2", 167, 250, {}},
+        {2, "densenet-121", 183, 120, {}},
     };
   }
 };
@@ -69,7 +69,7 @@ TEST_F(GsliceTest, HighRequestRatesInfeasible) {
 
 TEST_F(GsliceTest, TooManyWorkloadsInfeasible) {
   std::vector<core::ServiceSpec> crowd;
-  for (int i = 0; i < 60; ++i) crowd.push_back({i, "mobilenetv2", 167, 1});
+  for (int i = 0; i < 60; ++i) crowd.push_back({i, "mobilenetv2", 167, 1, {}});
   const auto result = scheduler_.schedule(crowd);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kCapacityExceeded);
@@ -82,7 +82,7 @@ TEST_F(GsliceTest, EmptySetIsTrivial) {
 }
 
 TEST_F(GsliceTest, UnknownModelRejected) {
-  const std::vector<core::ServiceSpec> bad = {{0, "mystery", 100, 10}};
+  const std::vector<core::ServiceSpec> bad = {{0, "mystery", 100, 10, {}}};
   const auto result = scheduler_.schedule(bad);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kNotFound);

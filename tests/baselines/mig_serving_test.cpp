@@ -138,7 +138,7 @@ TEST_F(MigServingTest, SlowModeIsDeterministicPerSeed) {
 }
 
 TEST_F(MigServingTest, InfeasibleSloRejected) {
-  const std::vector<core::ServiceSpec> impossible = {{0, "bert-large", 1.0, 10}};
+  const std::vector<core::ServiceSpec> impossible = {{0, "bert-large", 1.0, 10, {}}};
   const auto result = scheduler_.schedule(impossible);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kCapacityExceeded);

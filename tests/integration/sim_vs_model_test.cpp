@@ -107,7 +107,7 @@ TEST_F(SimVsModelTest, SaturatedThroughputMatchesAnalyticModelWithin5Percent) {
     // Offer well past capacity: the unit saturates (full batches back to
     // back) and the in-window completion rate is its true throughput.
     const std::vector<core::ServiceSpec> services = {
-        {0, point.model, 1e9, analytic_rate * 1.3}};
+        {0, point.model, 1e9, analytic_rate * 1.3, {}}};
     const core::Deployment deployment = deployment_at(point, evaluated.value());
     ClusterSimulation sim(deployment, services, perf_);
     SimulationOptions options = long_options();
@@ -140,7 +140,7 @@ TEST_F(SimVsModelTest, InceptionAnchorsReproduceWithinTolerance) {
 
     const OperatingPoint point{"inceptionv3", 1, 4, procs};
     const std::vector<core::ServiceSpec> services = {
-        {0, "inceptionv3", 1e9, analytic_rate * 1.3}};
+        {0, "inceptionv3", 1e9, analytic_rate * 1.3, {}}};
     const core::Deployment deployment = deployment_at(point, evaluated.value());
     ClusterSimulation sim(deployment, services, perf_);
     SimulationOptions options = long_options();
@@ -170,7 +170,7 @@ TEST_F(SimVsModelTest, SubSaturationMedianLatencyMatchesScaledAnalyticLatency) {
 
     // Pace arrivals far enough apart that the unit is idle at each arrival.
     const double offered_rate = 1000.0 / (solo_latency * 1.25);
-    const std::vector<core::ServiceSpec> services = {{0, point.model, 1e9, offered_rate}};
+    const std::vector<core::ServiceSpec> services = {{0, point.model, 1e9, offered_rate, {}}};
     const core::Deployment deployment = deployment_at(point, evaluated.value());
     ClusterSimulation sim(deployment, services, perf_);
     const SimulationResult result = sim.run(long_options());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace parva::scenarios {
 namespace {
@@ -11,7 +12,9 @@ TEST(ScenariosTest, SixScenariosInOrder) {
   const auto& all = all_scenarios();
   ASSERT_EQ(all.size(), 6u);
   for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].name, "S" + std::to_string(i + 1));
+    std::string expected = "S";  // avoids a GCC 12 -Wrestrict false positive
+    expected += std::to_string(i + 1);
+    EXPECT_EQ(all[i].name, expected);
   }
 }
 

@@ -3,11 +3,9 @@
 // fixtures, clean fixtures, pinned (caller, callee) edge lists for the
 // phase-1.5 call-graph builder, output-format goldens (JSON / SARIF),
 // baseline round-trips, the fix-it engine round-trip (plant -> fix ->
-// byte-exact golden -> re-audit clean), the incremental cache (warm run
-// reuses everything; touched files re-analyze alone; config changes go
-// cold), plus the meta-contracts: the repository's own src/ tree audits
-// clean at HEAD, and the audit's output is deterministic regardless of
-// traversal order or job count.
+// byte-exact golden -> re-audit clean), plus the meta-contracts: the
+// repository's own src/ tree audits clean at HEAD, and the audit's output
+// is deterministic regardless of traversal order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -669,115 +667,6 @@ TEST(AuditFixits, StaleEditsAreSkippedNotClamped) {
   const std::size_t applied = parva::audit::apply_fix_edits(path, findings, truncated);
   EXPECT_EQ(applied, 0u);
   EXPECT_EQ(truncated, "// nothing here\n");
-}
-
-// -------------------------------------------------- incremental cache ----
-
-namespace cache_helpers {
-
-void write_file(const fs::path& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-}
-
-}  // namespace cache_helpers
-
-TEST(AuditCache, WarmRunReusesEverythingAndMatchesCold) {
-  const fs::path root = fs::temp_directory_path() / "parva_audit_cache_warm";
-  fs::remove_all(root);
-  fs::create_directories(root / "tree");
-  cache_helpers::write_file(root / "tree" / "a.cpp",
-                            "inline int stir() { return rand(); }\n");
-  cache_helpers::write_file(root / "tree" / "b.cpp",
-                            "inline int calm() { return 4; }\n");
-  AuditConfig config = default_config();
-  config.cache_dir = (root / "cache").string();
-  std::vector<std::string> errors;
-  parva::audit::CacheStats stats;
-
-  const auto cold = parva::audit::audit_paths({(root / "tree").string()}, config,
-                                              errors, &stats);
-  EXPECT_TRUE(stats.enabled);
-  EXPECT_TRUE(stats.cold);
-  EXPECT_EQ(stats.analyzed, 2u);
-  ASSERT_EQ(cold.size(), 1u);
-  EXPECT_EQ(cold[0].rule, "R1");
-
-  const auto warm = parva::audit::audit_paths({(root / "tree").string()}, config,
-                                              errors, &stats);
-  EXPECT_FALSE(stats.cold);
-  EXPECT_EQ(stats.analyzed, 0u);
-  EXPECT_EQ(stats.reused, 2u);
-  // Byte-identical findings, fix-its included.
-  EXPECT_EQ(parva::audit::format_findings_sarif(cold),
-            parva::audit::format_findings_sarif(warm));
-  EXPECT_TRUE(errors.empty());
-  fs::remove_all(root);
-}
-
-TEST(AuditCache, TouchingOneFileReanalyzesOnlyThatFile) {
-  const fs::path root = fs::temp_directory_path() / "parva_audit_cache_touch";
-  fs::remove_all(root);
-  fs::create_directories(root / "tree");
-  cache_helpers::write_file(root / "tree" / "a.cpp",
-                            "inline int stir() { return rand(); }\n");
-  cache_helpers::write_file(root / "tree" / "b.cpp",
-                            "inline int calm() { return 4; }\n");
-  AuditConfig config = default_config();
-  config.cache_dir = (root / "cache").string();
-  std::vector<std::string> errors;
-  parva::audit::CacheStats stats;
-  const auto cold = parva::audit::audit_paths({(root / "tree").string()}, config,
-                                              errors, &stats);
-
-  // A comment-only edit changes the content hash but no cross-file
-  // contribution, so the warm run re-analyzes exactly the touched file.
-  cache_helpers::write_file(root / "tree" / "b.cpp",
-                            "// still calm\ninline int calm() { return 4; }\n");
-  const auto warm = parva::audit::audit_paths({(root / "tree").string()}, config,
-                                              errors, &stats);
-  EXPECT_FALSE(stats.cold);
-  EXPECT_EQ(stats.analyzed, 1u);
-  EXPECT_EQ(stats.reused, 1u);
-  EXPECT_EQ(parva::audit::format_findings(cold), parva::audit::format_findings(warm));
-  EXPECT_TRUE(errors.empty());
-  fs::remove_all(root);
-}
-
-TEST(AuditCache, ConfigChangeForcesAColdRun) {
-  const fs::path root = fs::temp_directory_path() / "parva_audit_cache_config";
-  fs::remove_all(root);
-  fs::create_directories(root / "tree");
-  cache_helpers::write_file(root / "tree" / "a.cpp",
-                            "inline int stir() { return rand(); }\n");
-  AuditConfig config = default_config();
-  config.cache_dir = (root / "cache").string();
-  std::vector<std::string> errors;
-  parva::audit::CacheStats stats;
-  (void)parva::audit::audit_paths({(root / "tree").string()}, config, errors, &stats);
-  EXPECT_TRUE(stats.cold);
-
-  // A different rule set keys a different manifest: cold again.
-  config.rules = {"R1"};
-  (void)parva::audit::audit_paths({(root / "tree").string()}, config, errors, &stats);
-  EXPECT_TRUE(stats.cold);
-  EXPECT_EQ(stats.analyzed, 1u);
-  fs::remove_all(root);
-}
-
-// ------------------------------------------------------------ parallel ----
-
-TEST(AuditJobs, ParallelAuditMatchesSerial) {
-  const std::string fixtures_dir(PARVA_AUDIT_FIXTURE_DIR);
-  std::vector<std::string> errors;
-  AuditConfig serial = default_config();
-  serial.jobs = 1;
-  AuditConfig parallel = default_config();
-  parallel.jobs = 4;
-  const auto one = parva::audit::audit_paths({fixtures_dir}, serial, errors);
-  const auto four = parva::audit::audit_paths({fixtures_dir}, parallel, errors);
-  EXPECT_EQ(parva::audit::format_findings(one), parva::audit::format_findings(four));
-  EXPECT_TRUE(errors.empty());
 }
 
 // The acceptance gate: the repository's own library code audits clean.

@@ -32,8 +32,13 @@ expect_nonzero() {
 
 # --- parva_audit's own exit-code contract ---------------------------------
 
-"${AUDIT_BIN}" --no-such-flag >/dev/null 2>&1
-expect_rc 2 $? "parva_audit rejects an unknown flag with exit 2"
+# The removed --cache-dir/--jobs flags are unknown now: a stale caller must
+# fail loudly rather than run with settings it did not ask for.
+for flags in "--no-such-flag" "--cache-dir DIR" "--jobs 0"; do
+  # shellcheck disable=SC2086  # word-split "--flag value" into two args
+  "${AUDIT_BIN}" ${flags} "${REPO_ROOT}/src" >/dev/null 2>&1
+  expect_rc 2 $? "parva_audit rejects an unknown flag (${flags}) with exit 2"
+done
 
 "${AUDIT_BIN}" >/dev/null 2>&1
 expect_rc 2 $? "parva_audit with no paths is a usage error (exit 2)"

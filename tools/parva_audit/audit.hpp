@@ -94,7 +94,7 @@ struct Finding {
     if (line != other.line) return line < other.line;
     if (rule != other.rule) return rule < other.rule;
     // Total order: two findings on one line from one rule (distinct
-    // messages) must sort identically on cold and warm cache runs.
+    // messages) sort identically whatever order the rules emitted them in.
     return message < other.message;
   }
   bool operator==(const Finding& other) const {
@@ -114,12 +114,6 @@ struct AuditConfig {
   /// R11: also flag node-based std::{map,set} insert/emplace on the hot
   /// path (allocation per insert). Off by default.
   bool r11_allocations = false;
-  /// Incremental-cache directory (cache.hpp). Empty disables the cache.
-  std::string cache_dir;
-  /// Worker threads for lexing + per-file rules (common/thread_pool). 1 =
-  /// serial (default); 0 = hardware concurrency. Finding order is
-  /// independent of the job count.
-  std::size_t jobs = 1;
 };
 
 /// One catalog row per rule; drives --list-rules and the SARIF rules array.
@@ -183,26 +177,12 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
 /// Runs both phases: the index spans every file in the scan set. Findings
 /// come back sorted by (file, line, rule) regardless of argument or
 /// directory enumeration order -- the audit obeys the determinism contract
-/// it enforces. Unreadable paths are reported via `errors`.
+/// it enforces. Each call is one cold, serial pass over the files as they
+/// are on disk; nothing carries over from an earlier run. Unreadable paths
+/// are reported via `errors`.
 std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
                                  const AuditConfig& config,
                                  std::vector<std::string>& errors);
-
-/// What the incremental cache (cache.hpp) did for one audit_paths run.
-struct CacheStats {
-  bool enabled = false;   ///< config.cache_dir was set and usable
-  bool cold = false;      ///< no manifest, config/context change, or IO error
-  std::size_t analyzed = 0;  ///< files lexed + per-file-ruled this run
-  std::size_t reused = 0;    ///< files served from the cache
-};
-
-/// audit_paths with cache telemetry: when config.cache_dir is set, per-file
-/// results are keyed by content hash and a cross-file context hash so an
-/// unchanged tree re-analyzes nothing yet produces byte-identical findings.
-std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
-                                 const AuditConfig& config,
-                                 std::vector<std::string>& errors,
-                                 CacheStats* stats);
 
 /// `file:line: [R#] message` -- one line per finding.
 std::string format_findings(const std::vector<Finding>& findings);

@@ -104,6 +104,25 @@ bool is_decl_specifier(const std::string& s) {
 using MemberTypes = std::map<std::string, std::string>;
 using ClassMembers = std::map<std::string, MemberTypes>;
 
+/// Per-file call-graph facts: everything phase 1.5 learns from one file,
+/// independent of the rest of the scan set except for the global
+/// class-member map threaded into finish_file_facts().
+struct FileFacts {
+  std::vector<FunctionDef> functions;
+  std::vector<RngTagDef> rng_tags;
+  std::vector<RngStreamUse> rng_uses;
+  /// class name -> member name -> last identifier of the declared type.
+  ClassMembers class_members;
+};
+
+/// A function body recorded by pass 1, before its tokens are scanned.
+struct BodySpan {
+  std::size_t fn_index = 0;   ///< into FileFacts.functions
+  std::vector<Token> params;  ///< tokens between the signature's parens
+  std::size_t begin = 0;      ///< first token index inside the body brace
+  std::size_t end = 0;        ///< index of the body's closing brace
+};
+
 // Skips a balanced <...> starting at toks[i] == '<'; returns the index one
 // past the closing '>'. Tokens are single characters, so '>>' is two tokens
 // and nesting balances naturally.
@@ -602,10 +621,14 @@ std::vector<UnorderedIteration> collect_unordered_iterations(const LexedFile& le
   return out;
 }
 
+namespace {
+
+/// Pass 1 over one file: the scope machine. Produces function skeletons
+/// (name/class/file/line), their body spans, the file's class-member types
+/// and its RngStreamTag registry enumerators.
 FileFacts scan_file_facts(const std::string& path, const LexedFile& lexed,
                           std::vector<BodySpan>& spans) {
   FileFacts facts;
-  facts.path = path;
   {
     const auto& toks = lexed.tokens;
     collect_rng_registry(toks, path, facts.rng_tags);
@@ -756,6 +779,10 @@ FileFacts scan_file_facts(const std::string& path, const LexedFile& lexed,
   return facts;
 }
 
+/// Pass 2 over one file: scans each body span with the *global* merged
+/// class-member map (so out-of-line methods resolve receivers declared in
+/// another file's class body) and attributes the file's unordered
+/// iterations and floating-point accumulations to the enclosing function.
 void finish_file_facts(FileFacts& facts, const LexedFile& lexed,
                        const std::vector<BodySpan>& spans,
                        const ClassMembers& class_members) {
@@ -784,15 +811,18 @@ void finish_file_facts(FileFacts& facts, const LexedFile& lexed,
   }
 }
 
-CallGraph assemble_call_graph(const std::vector<const FileFacts*>& facts) {
+/// Merges finished per-file facts -- in file order, which is the scan
+/// set's sorted order, so the graph is deterministic -- and builds the
+/// name/qualified indexes.
+CallGraph assemble_call_graph(const std::vector<FileFacts>& facts) {
   CallGraph graph;
-  for (const FileFacts* file : facts) {
-    graph.functions.insert(graph.functions.end(), file->functions.begin(),
-                           file->functions.end());
-    graph.rng_tags.insert(graph.rng_tags.end(), file->rng_tags.begin(),
-                          file->rng_tags.end());
-    graph.rng_uses.insert(graph.rng_uses.end(), file->rng_uses.begin(),
-                          file->rng_uses.end());
+  for (const FileFacts& file : facts) {
+    graph.functions.insert(graph.functions.end(), file.functions.begin(),
+                           file.functions.end());
+    graph.rng_tags.insert(graph.rng_tags.end(), file.rng_tags.begin(),
+                          file.rng_tags.end());
+    graph.rng_uses.insert(graph.rng_uses.end(), file.rng_uses.begin(),
+                          file.rng_uses.end());
   }
   for (std::size_t i = 0; i < graph.functions.size(); ++i) {
     const FunctionDef& fn = graph.functions[i];
@@ -802,6 +832,8 @@ CallGraph assemble_call_graph(const std::vector<const FileFacts*>& facts) {
   }
   return graph;
 }
+
+}  // namespace
 
 CallGraph build_call_graph(
     const std::vector<std::pair<std::string, const LexedFile*>>& files) {
@@ -820,13 +852,10 @@ CallGraph build_call_graph(
       for (const auto& [name, type] : members) merged[cls][name] = type;
     }
   }
-  std::vector<const FileFacts*> finished;
-  finished.reserve(facts.size());
   for (std::size_t f = 0; f < files.size(); ++f) {
     finish_file_facts(facts[f], *files[f].second, spans[f], merged);
-    finished.push_back(&facts[f]);
   }
-  return assemble_call_graph(finished);
+  return assemble_call_graph(facts);
 }
 
 std::vector<std::size_t> CallGraph::resolve(const CallSite& call,

@@ -148,51 +148,8 @@ struct CallGraph {
                                    const FunctionDef& caller) const;
 };
 
-/// Per-file call-graph facts: everything phase 1.5 learns from one file,
-/// independent of the rest of the scan set except for the global
-/// class-member map threaded into finish_file_facts(). This is the unit of
-/// the incremental cache (cache.cpp): facts for unchanged files are
-/// deserialized instead of re-scanned, and assemble_call_graph() merges
-/// cached and fresh facts into the same graph a cold run would build.
-struct FileFacts {
-  std::string path;
-  std::vector<FunctionDef> functions;
-  std::vector<RngTagDef> rng_tags;
-  std::vector<RngStreamUse> rng_uses;
-  /// class name -> member name -> last identifier of the declared type.
-  std::map<std::string, std::map<std::string, std::string>> class_members;
-};
-
-/// A function body recorded by pass 1, before its tokens are scanned.
-struct BodySpan {
-  std::size_t fn_index = 0;   ///< into FileFacts.functions
-  std::vector<Token> params;  ///< tokens between the signature's parens
-  std::size_t begin = 0;      ///< first token index inside the body brace
-  std::size_t end = 0;        ///< index of the body's closing brace
-};
-
-/// Pass 1 over one file: the scope machine. Produces function skeletons
-/// (name/class/file/line), their body spans, the file's class-member types
-/// and its RngStreamTag registry enumerators.
-FileFacts scan_file_facts(const std::string& path, const LexedFile& lexed,
-                          std::vector<BodySpan>& spans);
-
-/// Pass 2 over one file: scans each body span with the *global* merged
-/// class-member map (so out-of-line methods resolve receivers declared in
-/// another file's class body) and attributes the file's unordered
-/// iterations and floating-point accumulations to the enclosing function.
-void finish_file_facts(
-    FileFacts& facts, const LexedFile& lexed, const std::vector<BodySpan>& spans,
-    const std::map<std::string, std::map<std::string, std::string>>& class_members);
-
-/// Merges finished per-file facts -- in file order, which must be the scan
-/// set's sorted order for the graph to be deterministic -- and builds the
-/// name/qualified indexes.
-CallGraph assemble_call_graph(const std::vector<const FileFacts*>& facts);
-
 /// Builds the graph over pre-lexed files. Paths are used verbatim in
-/// FunctionDef.file; pass them normalized. Equivalent to scan + merge
-/// members + finish + assemble over every file.
+/// FunctionDef.file; pass them normalized.
 CallGraph build_call_graph(
     const std::vector<std::pair<std::string, const LexedFile*>>& files);
 

@@ -201,7 +201,6 @@ void attach_fixits(const std::vector<std::pair<std::string, std::string>>& files
   for (const RngTagDef& tag : rng_tags) tags_by_value.emplace(tag.value, tag.name);
 
   for (Finding& f : findings) {
-    if (!f.fix_edits.empty()) continue;  // already attached (cached rerun)
     const auto file = by_path.find(f.file);
     if (file == by_path.end()) continue;
     const std::string& content = *file->second;

@@ -7,8 +7,7 @@
 // Fixes ride on Finding.fix_description / Finding.fix_edits: report.cpp
 // emits them into SARIF `fixes`, and main.cpp's --fix applies them to the
 // working tree. attach_fixits() is deterministic and derived purely from
-// (file contents, RngStreamTag registry, findings), so the incremental
-// cache never needs to persist fixes -- re-attaching reproduces them.
+// (file contents, RngStreamTag registry, findings).
 #pragma once
 
 #include <string>

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -74,7 +73,7 @@ bool rule_enabled(const AuditConfig& config, const char* rule);
 
 /// Phase 2 over one already-lexed file: every per-file rule (R1-R8, R13,
 /// R15), findings appended unsorted. Shared between audit_files() and the
-/// incremental cache (cache.cpp), which re-runs it only on changed files.
+/// index-taking audit_file() overload.
 void run_per_file_rules(const std::string& path, const std::string& content,
                         const LexedFile& lexed, const AuditConfig& config,
                         const SymbolIndex& index, std::vector<Finding>& findings);
@@ -126,12 +125,5 @@ std::string join_path(const std::vector<std::string>& names);
 void add_graph_finding(std::vector<Finding>& findings, const LexedByFile& lexed,
                        const std::string& file, int line, const char* rule,
                        std::string message);
-
-/// Runs fn(0..n-1): serially when jobs == 1, else on a work-stealing
-/// ThreadPool (jobs == 0 selects the hardware concurrency). Implemented in
-/// rules.cpp; callers must make fn(i) write only to slot i of any shared
-/// output.
-void for_each_index(std::size_t n, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn);
 
 }  // namespace parva::audit::internal

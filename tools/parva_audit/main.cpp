@@ -6,7 +6,6 @@
 //   parva_audit --format sarif src/         # SARIF 2.1.0 for CI upload
 //   parva_audit --baseline accepted.txt src/  # only NEW findings fail
 //   parva_audit --fix src/                  # apply machine-applicable fixes
-//   parva_audit --cache-dir build/audit_cache --jobs 0 src/  # fast CI scan
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -50,11 +49,6 @@ options:
                        R6 [[nodiscard]], R10 literal->enumerator RNG tags)
                        to the files in place; exit 0 when every remaining
                        finding was fixed, 1 when unfixable findings remain
-  --cache-dir DIR      incremental cache: per-file results keyed by content
-                       hash; unchanged files are not re-analyzed (stats on
-                       stderr; findings are byte-identical either way)
-  --jobs N             lex/analyze files on N worker threads (0 = hardware
-                       concurrency, default 1); output order is unaffected
   --list-rules         print the rule catalog and exit
   -h, --help           this message
 
@@ -198,27 +192,6 @@ int main(int argc, char** argv) {
       apply_fixes = true;
       continue;
     }
-    if (arg == "--cache-dir") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: --cache-dir needs an argument\n";
-        return 2;
-      }
-      config.cache_dir = argv[i];
-      continue;
-    }
-    if (arg == "--jobs") {
-      if (++i >= argc) {
-        std::cerr << "parva_audit: --jobs needs an argument\n";
-        return 2;
-      }
-      const int jobs = std::atoi(argv[i]);
-      if (jobs < 0 || (jobs == 0 && std::string(argv[i]) != "0")) {
-        std::cerr << "parva_audit: --jobs needs a non-negative integer\n";
-        return 2;
-      }
-      config.jobs = static_cast<std::size_t>(jobs);
-      continue;
-    }
     if (!arg.empty() && arg[0] == '-') {
       std::cerr << "parva_audit: unknown option " << arg << "\n" << kUsage;
       return 2;
@@ -235,16 +208,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> errors;
-  parva::audit::CacheStats cache_stats;
   std::vector<parva::audit::Finding> findings =
-      parva::audit::audit_paths(paths, config, errors, &cache_stats);
+      parva::audit::audit_paths(paths, config, errors);
   for (const std::string& error : errors) {
     std::cerr << "parva_audit: " << error << "\n";
-  }
-  if (cache_stats.enabled) {
-    std::cerr << "parva_audit: cache " << (cache_stats.cold ? "cold" : "warm")
-              << ": analyzed " << cache_stats.analyzed << ", reused "
-              << cache_stats.reused << "\n";
   }
 
   if (update_baseline) {

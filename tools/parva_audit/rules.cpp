@@ -5,10 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "common/thread_pool.hpp"
-
 #include "audit.hpp"
-#include "cache.hpp"
 #include "callgraph.hpp"
 #include "dataflow.hpp"
 #include "fixits.hpp"
@@ -403,13 +400,11 @@ std::vector<Finding> audit_file(const std::string& path, const std::string& cont
 
 std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::string>>& files,
                                  const AuditConfig& config) {
-  // Phase 1: lex everything once (parallel under --jobs; slot-per-file so
-  // order is input order regardless of scheduling), then build the
-  // cross-file symbol index serially -- merge order is file order.
-  std::vector<LexedFile> lexed(files.size());
-  internal::for_each_index(files.size(), config.jobs, [&](std::size_t i) {
-    lexed[i] = lex(files[i].second);
-  });
+  // Phase 1: lex everything once, then build the cross-file symbol index
+  // -- merge order is file order.
+  std::vector<LexedFile> lexed;
+  lexed.reserve(files.size());
+  for (const auto& file : files) lexed.push_back(lex(file.second));
   SymbolIndex index;
   for (std::size_t i = 0; i < lexed.size(); ++i) {
     internal::scan_status_functions_into_index(lexed[i], index);
@@ -420,17 +415,11 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
     }
   }
 
-  // Phase 2: per-file rules, each file into its own slot; concatenation in
-  // file order plus the final sort keeps findings independent of --jobs.
-  std::vector<std::vector<Finding>> per_file(files.size());
-  internal::for_each_index(files.size(), config.jobs, [&](std::size_t i) {
-    internal::run_per_file_rules(files[i].first, files[i].second, lexed[i], config,
-                                 index, per_file[i]);
-  });
+  // Phase 2: per-file rules in file order; the final sort orders findings.
   std::vector<Finding> findings;
-  for (std::vector<Finding>& slot : per_file) {
-    findings.insert(findings.end(), std::make_move_iterator(slot.begin()),
-                    std::make_move_iterator(slot.end()));
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    internal::run_per_file_rules(files[i].first, files[i].second, lexed[i], config,
+                                 index, findings);
   }
 
   // Phase 1.5 + 3/4: the call graph and the interprocedural rules, skipped
@@ -464,13 +453,6 @@ std::vector<Finding> audit_files(const std::vector<std::pair<std::string, std::s
 std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
                                  const AuditConfig& config,
                                  std::vector<std::string>& errors) {
-  return audit_paths(paths, config, errors, nullptr);
-}
-
-std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
-                                 const AuditConfig& config,
-                                 std::vector<std::string>& errors,
-                                 CacheStats* stats) {
   namespace fs = std::filesystem;
   static const std::set<std::string> kExtensions = {".cpp", ".cc", ".cxx", ".hpp",
                                                     ".h",   ".hh", ".hxx", ".ipp"};
@@ -512,40 +494,8 @@ std::vector<Finding> audit_paths(const std::vector<std::string>& paths,
     contents.emplace_back(file, buffer.str());
   }
 
-  // The cache manifest is keyed per scan set (the sorted roots), so
-  // lint.sh's distinct scans (src/, tools/, tree) never evict each other.
-  if (!config.cache_dir.empty()) {
-    std::vector<std::string> roots;
-    roots.reserve(paths.size());
-    for (const std::string& p : paths) roots.push_back(normalize(p));
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-    std::string scan_key;
-    for (const std::string& r : roots) {
-      if (!scan_key.empty()) scan_key += ';';
-      scan_key += r;
-    }
-    return internal::audit_files_cached(scan_key, contents, config, stats);
-  }
-  if (stats != nullptr) *stats = CacheStats{};
-
   // Phases 1, 1.5, 2 and 3/4 over the in-memory scan set.
   return audit_files(contents, config);
 }
-
-namespace internal {
-
-void for_each_index(std::size_t n, std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (jobs == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  parva::ThreadPool pool(jobs);
-  pool.parallel_for(n, fn);
-}
-
-}  // namespace internal
 
 }  // namespace parva::audit
