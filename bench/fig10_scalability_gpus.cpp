@@ -42,7 +42,11 @@ int main() {
                                              Framework::kParvaGpuSingle};
 
   std::vector<std::string> header = {"framework"};
-  for (int fold = 1; fold <= 10; ++fold) header.push_back("x" + std::to_string(fold));
+  for (int fold = 1; fold <= 10; ++fold) {
+    std::string label = "x";
+    label += std::to_string(fold);
+    header.push_back(std::move(label));
+  }
   TextTable table(header);
 
   std::map<std::string, std::vector<int>> gpus;

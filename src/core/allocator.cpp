@@ -21,11 +21,15 @@ void SegmentAllocator::enqueue_service(SegmentQueues& queues, const ConfiguredSe
 void SegmentAllocator::run_allocation(SegmentQueues& queues, DeploymentPlan& plan) {
   // Largest-size queues first (std::greater key order), first-fit front to
   // back across GPUs; find_start_slot applies the slot-preference rules.
+  // The plan only gains segments here, so GPUs before the queue's last
+  // placement still cannot fit its size: each queue resumes its scan there
+  // and places every segment exactly where a front scan would.
   for (auto& [gpcs, queue] : queues) {
+    std::size_t cursor = 0;
     while (!queue.empty()) {
       Segment segment = std::move(queue.front());
       queue.pop_front();
-      plan.place_first_fit(segment.service_id, segment.triplet);
+      cursor = plan.place_first_fit(segment.service_id, segment.triplet, cursor);
     }
   }
   queues.clear();

@@ -43,38 +43,47 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
 
   LiveUpdateReport report;
 
-  // Diff: units present in both maps stay untouched; the rest are
-  // removed/added. Duplicate keys are matched one-to-one.
-  std::multiset<UnitKey> target_keys;
-  for (const DeployedUnit& unit : target.units) target_keys.insert(key_of(unit));
+  // Diff: one sort-merge over (key, index) pairs; equal keys pair up in
+  // index order and keep their instance. The rest are removed in ascending
+  // current index and added in target order. Keys are unique under MIG
+  // ((gpu, start_slot) cannot repeat), so each pair is the same unit.
+  using Keyed = std::vector<std::pair<UnitKey, std::size_t>>;
+  const auto keyed = [](const Deployment& deployment) {
+    Keyed out;
+    out.reserve(deployment.units.size());
+    for (std::size_t i = 0; i < deployment.units.size(); ++i) {
+      out.emplace_back(key_of(deployment.units[i]), i);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const Keyed current_keys = keyed(current);
+  const Keyed target_keys = keyed(target);
 
-  std::vector<std::size_t> to_remove;          // indices into current.units
-  std::multiset<UnitKey> kept_keys;
-  std::vector<gpu::GlobalInstanceId> kept_instances;
-  std::vector<const DeployedUnit*> kept_units;
-  for (std::size_t i = 0; i < current.units.size(); ++i) {
-    const UnitKey key = key_of(current.units[i]);
-    const auto it = target_keys.find(key);
-    if (it != target_keys.end()) {
-      target_keys.erase(it);
-      kept_keys.insert(key);
-      kept_instances.push_back(state.unit_instances[i]);
-      kept_units.push_back(&current.units[i]);
-      ++report.untouched_units;
+  DeployedState next;
+  next.unit_instances.resize(target.units.size());
+  std::vector<bool> current_kept(current.units.size(), false);
+  std::vector<bool> target_kept(target.units.size(), false);
+  for (std::size_t c = 0, t = 0; c < current_keys.size() && t < target_keys.size();) {
+    if (current_keys[c].first < target_keys[t].first) {
+      ++c;
+    } else if (target_keys[t].first < current_keys[c].first) {
+      ++t;
     } else {
-      to_remove.push_back(i);
+      const std::size_t from = current_keys[c++].second;
+      const std::size_t to = target_keys[t++].second;
+      next.unit_instances[to] = state.unit_instances[from];
+      current_kept[from] = target_kept[to] = true;
+      ++report.untouched_units;
     }
   }
+  std::vector<std::size_t> to_remove;  // indices into current.units
+  for (std::size_t i = 0; i < current.units.size(); ++i) {
+    if (!current_kept[i]) to_remove.push_back(i);
+  }
   std::vector<const DeployedUnit*> to_add;  // units of target not yet live
-  {
-    std::multiset<UnitKey> remaining = target_keys;
-    for (const DeployedUnit& unit : target.units) {
-      const auto it = remaining.find(key_of(unit));
-      if (it != remaining.end()) {
-        remaining.erase(it);
-        to_add.push_back(&unit);
-      }
-    }
+  for (std::size_t i = 0; i < target.units.size(); ++i) {
+    if (!target_kept[i]) to_add.push_back(&target.units[i]);
   }
   report.removed_units = static_cast<int>(to_remove.size());
   report.added_units = static_cast<int>(to_add.size());
@@ -91,16 +100,15 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
   std::map<int, gpu::GlobalInstanceId> shadows;
   int spare_gpu = std::max(current.gpu_count, target.gpu_count);
   if (strategy == UpdateStrategy::kShadowed) {
-    for (int service_id : affected) {
-      // Template: any current unit of the service (prefer the smallest so
-      // the shadow is cheap); new services have nothing to shadow.
-      const DeployedUnit* tmpl = nullptr;
-      for (const DeployedUnit& unit : current.units) {
-        if (unit.service_id != service_id) continue;
-        if (tmpl == nullptr || unit.gpc_grant < tmpl->gpc_grant) tmpl = &unit;
-      }
-      if (tmpl == nullptr) continue;
-
+    // Template per affected service, in one pass: its smallest current unit
+    // (first on ties) so the shadow is cheap; new services have none.
+    std::map<int, const DeployedUnit*> templates;
+    for (const DeployedUnit& unit : current.units) {
+      if (affected.count(unit.service_id) == 0) continue;
+      const DeployedUnit*& tmpl = templates[unit.service_id];
+      if (tmpl == nullptr || unit.gpc_grant < tmpl->gpc_grant) tmpl = &unit;
+    }
+    for (const auto& [service_id, tmpl] : templates) {
       Deployment shadow;
       shadow.uses_mig = true;
       shadow.gpu_count = spare_gpu + 1;
@@ -174,30 +182,14 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
     report.makespan_ms += window_ms[service_id];
   }
 
-  // New state: kept instances plus the additions, ordered as target.units.
-  DeployedState next;
-  next.unit_instances.resize(target.units.size());
-  std::vector<bool> filled(target.units.size(), false);
-  // Match kept units to target slots.
-  for (std::size_t k = 0; k < kept_units.size(); ++k) {
-    const UnitKey key = key_of(*kept_units[k]);
-    for (std::size_t t = 0; t < target.units.size(); ++t) {
-      if (filled[t]) continue;
-      if (key_of(target.units[t]) == key) {
-        next.unit_instances[t] = kept_instances[k];
-        filled[t] = true;
-        break;
-      }
-    }
-  }
-  // Match added units in order.
+  // New state: kept instances (filled by the diff) plus the additions,
+  // which the deployer returned in target order.
   std::size_t add_cursor = 0;
-  for (std::size_t t = 0; t < target.units.size(); ++t) {
-    if (filled[t]) continue;
+  for (std::size_t i = 0; i < target.units.size(); ++i) {
+    if (target_kept[i]) continue;
     PARVA_CHECK(add_cursor < added.value().unit_instances.size(),
                 "added instance bookkeeping mismatch");
-    next.unit_instances[t] = added.value().unit_instances[add_cursor++];
-    filled[t] = true;
+    next.unit_instances[i] = added.value().unit_instances[add_cursor++];
   }
   state = std::move(next);
   return report;

@@ -69,9 +69,13 @@ class DeploymentPlan {
   GpuPlan& gpu(std::size_t index) { return gpus_.at(index); }
   const GpuPlan& gpu(std::size_t index) const { return gpus_.at(index); }
 
-  /// Places a segment on the first GPU (front to back) that fits it,
+  /// Places a segment on the first GPU at or after `from` that fits it,
   /// appending a new GPU when none does. Returns the GPU index used.
-  std::size_t place_first_fit(int service_id, const Triplet& triplet);
+  /// The caller guarantees no GPU before `from` fits the segment's size;
+  /// a GPU that failed a size keeps failing it while it only gains
+  /// segments (gpu::proof::fit_is_monotone), so a caller that places
+  /// same-size segments in a row may resume from the last index returned.
+  std::size_t place_first_fit(int service_id, const Triplet& triplet, std::size_t from = 0);
 
   /// Drops empty GPUs and renumbers the rest contiguously.
   void compact();

@@ -270,6 +270,26 @@ constexpr bool start_slot_views_agree() {
   return true;
 }
 
+/// First-fit monotonicity: occupying one more slot never creates a fit.
+/// For every 7-bit mask, extra slot bit and instance size, a fit on the
+/// fuller mask implies a fit on the original one. A GPU that cannot host a
+/// size therefore keeps failing it while it only gains segments, which is
+/// what lets DeploymentPlan::place_first_fit resume a scan mid-plan.
+constexpr bool fit_is_monotone() {
+  for (unsigned mask = 0; mask < (1u << kGpcSlots); ++mask) {
+    for (int bit = 0; bit < kGpcSlots; ++bit) {
+      const auto fuller = static_cast<std::uint8_t>(mask | (1u << bit));
+      for (const int gpcs : kInstanceSizes) {
+        if (find_start_slot(fuller, gpcs).has_value() &&
+            !find_start_slot(static_cast<std::uint8_t>(mask), gpcs).has_value()) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace proof
 
 static_assert(proof::placements_fit_die(),
@@ -284,6 +304,8 @@ static_assert(proof::no_intra_profile_overlap(),
               "MIG geometry: same-profile placements must be disjoint and ascending");
 static_assert(proof::start_slot_views_agree(),
               "MIG geometry: start-slot views disagree with kPlacementTable");
+static_assert(proof::fit_is_monotone(),
+              "MIG geometry: occupying a slot must never create a fit (first-fit cursor)");
 static_assert(kProfileTable.size() + kPlacementTable.size() == 19,
               "MIG geometry: the A100 has 5 profiles and 14 placements (Fig. 1)");
 static_assert(find_start_slot(0, 3).has_value() && *find_start_slot(0, 3) == 4,

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
+#include "common/rng.hpp"
 #include "core/parvagpu.hpp"
 #include "core/reconfigure.hpp"
 #include "tests/core/test_support.hpp"
@@ -15,6 +19,52 @@ namespace {
 
 using testing::builtin_profiles;
 using testing::service;
+
+/// A hand-placed MIG unit (gpc_grant = gpcs).
+DeployedUnit mig_unit(int service_id, int gpu_index, int gpcs, int start_slot, int batch) {
+  DeployedUnit unit;
+  unit.service_id = service_id;
+  unit.model = "resnet-50";
+  unit.gpu_index = gpu_index;
+  unit.gpc_grant = gpcs;
+  unit.placement = gpu::Placement{gpcs, start_slot};
+  unit.batch = batch;
+  return unit;
+}
+
+Deployment mig_deployment(int gpu_count, std::vector<DeployedUnit> units) {
+  Deployment deployment;
+  deployment.uses_mig = true;
+  deployment.gpu_count = gpu_count;
+  deployment.units = std::move(units);
+  return deployment;
+}
+
+bool same_unit(const DeployedUnit& a, const DeployedUnit& b) {
+  return a.service_id == b.service_id && a.gpu_index == b.gpu_index &&
+         a.placement == b.placement && a.batch == b.batch && a.procs == b.procs;
+}
+
+/// Reference diff by linear search (units are unique under MIG): indices
+/// of `from`'s units that have no identical unit in `to`, ascending.
+std::vector<std::size_t> unmatched(const Deployment& from, const Deployment& to) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < from.units.size(); ++i) {
+    const bool found = std::any_of(to.units.begin(), to.units.end(), [&](const DeployedUnit& u) {
+      return same_unit(from.units[i], u);
+    });
+    if (!found) out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<std::string> ops_with_prefix(const gpu::NvmlSim& nvml, const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const std::string& op : nvml.operation_log()) {
+    if (op.rfind(prefix, 0) == 0) out.push_back(op);
+  }
+  return out;
+}
 
 class LiveUpdateTest : public ::testing::Test {
  protected:
@@ -144,6 +194,131 @@ TEST_F(LiveUpdateTest, MismatchedStateRejected) {
   const auto report = updater_.apply(current, bogus, current, UpdateStrategy::kInPlace);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(LiveUpdateTest, ShuffledTargetKeepsEveryUnit) {
+  const auto current = schedule({service(0, "resnet-50", 205, 829),
+                                 service(1, "vgg-19", 397, 354),
+                                 service(2, "densenet-121", 183, 353)});
+  auto state = deployer_.deploy(current).value();
+  const DeployedState before = state;
+
+  std::vector<std::size_t> order(current.units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  Rng rng(7);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_int(0, i - 1)]);
+  }
+  Deployment target = current;
+  for (std::size_t t = 0; t < order.size(); ++t) target.units[t] = current.units[order[t]];
+
+  nvml_.clear_operation_log();
+  const auto report = updater_.apply(current, state, target, UpdateStrategy::kInPlace);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_EQ(report.value().removed_units, 0);
+  EXPECT_EQ(report.value().added_units, 0);
+  EXPECT_EQ(report.value().untouched_units, static_cast<int>(current.units.size()));
+  EXPECT_TRUE(nvml_.operation_log().empty());
+  // The state follows the target's order: slot t holds the instance that
+  // already backed the unit now listed there.
+  ASSERT_EQ(state.unit_instances.size(), order.size());
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    EXPECT_EQ(state.unit_instances[t], before.unit_instances[order[t]]) << "slot " << t;
+  }
+}
+
+TEST_F(LiveUpdateTest, OperationLogFollowsDiffOrder) {
+  const auto current = schedule({service(0, "resnet-50", 205, 829),
+                                 service(1, "vgg-19", 397, 354),
+                                 service(2, "densenet-121", 183, 353)});
+  auto state = deployer_.deploy(current).value();
+  const DeployedState before = state;
+  const auto target = schedule({service(0, "resnet-50", 205, 1600),
+                                service(1, "vgg-19", 397, 354),
+                                service(2, "densenet-121", 183, 700)});
+
+  nvml_.clear_operation_log();
+  const auto report = updater_.apply(current, state, target, UpdateStrategy::kInPlace);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+
+  // Destroys in ascending current index.
+  std::vector<std::string> expected_destroys;
+  for (std::size_t i : unmatched(current, target)) {
+    expected_destroys.push_back("destroy_gi gpu=" + std::to_string(before.unit_instances[i].gpu) +
+                                " handle=" + std::to_string(before.unit_instances[i].handle));
+  }
+  // Creates in target order.
+  std::vector<std::string> expected_creates;
+  for (std::size_t t : unmatched(target, current)) {
+    const DeployedUnit& unit = target.units[t];
+    expected_creates.push_back("create_gi_placed gpu=" + std::to_string(unit.gpu_index) +
+                               " gpcs=" + std::to_string(unit.placement->gpcs) + "@" +
+                               std::to_string(unit.placement->start_slot));
+  }
+  ASSERT_FALSE(expected_destroys.empty());
+  ASSERT_FALSE(expected_creates.empty());
+  EXPECT_EQ(ops_with_prefix(nvml_, "destroy_gi "), expected_destroys);
+  EXPECT_EQ(ops_with_prefix(nvml_, "create_gi_placed "), expected_creates);
+  EXPECT_EQ(report.value().removed_units, static_cast<int>(expected_destroys.size()));
+  EXPECT_EQ(report.value().added_units, static_cast<int>(expected_creates.size()));
+}
+
+TEST_F(LiveUpdateTest, ShadowTemplatesPickSmallestFirstUnit) {
+  // Service 0 has two smallest units (grant 1, batch 4 then batch 2): the
+  // first wins the tie. Service 1's smallest unit is its 3-GPC one.
+  // Service 2 is untouched; service 3 is new and has nothing to shadow.
+  const Deployment current = mig_deployment(
+      2, {mig_unit(0, 0, 2, 0, 8), mig_unit(1, 1, 4, 0, 8), mig_unit(0, 0, 1, 2, 4),
+          mig_unit(2, 0, 2, 4, 8), mig_unit(0, 0, 1, 3, 2), mig_unit(1, 1, 3, 4, 16)});
+  const Deployment target = mig_deployment(
+      2, {mig_unit(0, 0, 2, 0, 8), mig_unit(1, 1, 1, 0, 8), mig_unit(0, 0, 2, 2, 8),
+          mig_unit(2, 0, 2, 4, 8), mig_unit(3, 0, 1, 6, 1), mig_unit(1, 1, 3, 4, 16)});
+  auto state = deployer_.deploy(current).value();
+
+  // Reference: rescan every current unit per affected service.
+  std::set<int> affected;
+  for (std::size_t i : unmatched(current, target)) affected.insert(current.units[i].service_id);
+  for (std::size_t t : unmatched(target, current)) affected.insert(target.units[t].service_id);
+  ASSERT_EQ(affected, (std::set<int>{0, 1, 3}));
+  std::map<int, const DeployedUnit*> templates;
+  for (int service_id : affected) {
+    const DeployedUnit* tmpl = nullptr;
+    for (const DeployedUnit& unit : current.units) {
+      if (unit.service_id != service_id) continue;
+      if (tmpl == nullptr || unit.gpc_grant < tmpl->gpc_grant) tmpl = &unit;
+    }
+    if (tmpl != nullptr) templates[service_id] = tmpl;
+  }
+  ASSERT_EQ(templates.size(), 2u);
+  EXPECT_EQ(templates.at(0), &current.units[2]);
+  EXPECT_EQ(templates.at(1), &current.units[5]);
+
+  nvml_.clear_operation_log();
+  const auto report = updater_.apply(current, state, target, UpdateStrategy::kShadowed);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_EQ(report.value().shadow_units, static_cast<int>(templates.size()));
+  EXPECT_EQ(report.value().shadow_teardown_failures, 0);
+  // Shadows land on the spare GPUs in ascending service order, each a
+  // clone of its template at the profile's first legal slot.
+  int spare = 2;
+  for (const auto& [service_id, tmpl] : templates) {
+    const std::string gpu = "gpu=" + std::to_string(spare++);
+    const int gpcs = tmpl->placement->gpcs;
+    EXPECT_EQ(ops_with_prefix(nvml_, "create_gi_placed " + gpu + " "),
+              std::vector<std::string>{"create_gi_placed " + gpu + " gpcs=" +
+                                       std::to_string(gpcs) + "@" +
+                                       std::to_string(gpu::legal_start_slots(gpcs).front())})
+        << "service " << service_id;
+    const auto launches = ops_with_prefix(nvml_, "launch " + gpu + " ");
+    ASSERT_EQ(launches.size(), 1u) << "service " << service_id;
+    const std::string batch = " batch=" + std::to_string(tmpl->batch);
+    EXPECT_EQ(launches.front().substr(launches.front().size() - batch.size()), batch)
+        << "service " << service_id;
+  }
+  EXPECT_TRUE(ops_with_prefix(nvml_, "create_gi_placed gpu=" + std::to_string(spare)).empty());
+  EXPECT_DOUBLE_EQ(report.value().downtime_ms.at(0), 0.0);
+  EXPECT_DOUBLE_EQ(report.value().downtime_ms.at(1), 0.0);
+  EXPECT_GT(report.value().downtime_ms.at(3), 0.0);
 }
 
 }  // namespace
