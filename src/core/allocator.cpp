@@ -91,6 +91,13 @@ std::vector<Triplet> SegmentAllocator::small_segments(const ConfiguredService& s
 
 DeploymentPlan SegmentAllocator::allocation_optimization(
     DeploymentPlan plan, std::span<const ConfiguredService> services) const {
+  DeploymentPlan optimized = reoptimize(std::move(plan), services);
+  optimized.renumber();
+  return optimized;
+}
+
+DeploymentPlan SegmentAllocator::reoptimize(DeploymentPlan plan,
+                                            std::span<const ConfiguredService> services) const {
   auto find_service = [&](int id) -> const ConfiguredService* {
     for (const ConfiguredService& service : services) {
       if (service.spec.id == id) return &service;
@@ -141,12 +148,7 @@ DeploymentPlan SegmentAllocator::allocation_optimization(
 Result<DeploymentPlan> SegmentAllocator::allocate(
     std::span<const ConfiguredService> services) const {
   auto relocated = segment_relocation(services);
-  if (!relocated.ok()) return relocated;
-  if (!options_.optimize) {
-    DeploymentPlan plan = std::move(relocated).value();
-    plan.compact();
-    return plan;
-  }
+  if (!relocated.ok() || !options_.optimize) return relocated;
   return allocation_optimization(std::move(relocated).value(), services);
 }
 

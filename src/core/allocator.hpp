@@ -14,6 +14,10 @@
 // through the freed_rate ledger. The optimized map is kept only when it
 // does not use more GPUs than the relocation map (it cannot, but the guard
 // makes the invariant explicit).
+//
+// GPU ids: a fresh plan leaves allocate() numbered 0..n-1. On a live map
+// (reoptimize, used by the Reconfigurer) GPUs keep their ids, so only the
+// segments that actually moved differ in the next deployment.
 #pragma once
 
 #include <deque>
@@ -41,15 +45,23 @@ class SegmentAllocator {
 
   const AllocatorOptions& options() const { return options_; }
 
-  /// Full Algorithm 2: relocation followed by optimization.
+  /// Full Algorithm 2: relocation followed by optimization. GPU ids are
+  /// dense, 0..n-1 in plan order.
   [[nodiscard]] Result<DeploymentPlan> allocate(std::span<const ConfiguredService> services) const;
 
-  /// Stage 1 only (exposed for tests and the unoptimized variant).
+  /// Stage 1 only (exposed for tests and the unoptimized variant). Appends
+  /// GPUs only as segments land on them, so ids are dense and none is empty.
   [[nodiscard]] Result<DeploymentPlan> segment_relocation(std::span<const ConfiguredService> services) const;
 
-  /// Stage 2 only, applied to an existing map.
+  /// Stage 2 only, applied to a fresh map: reoptimize(), then renumber the
+  /// GPUs densely (what allocate() returns for the same map).
   DeploymentPlan allocation_optimization(DeploymentPlan plan,
                                          std::span<const ConfiguredService> services) const;
+
+  /// Stage 2 on a live map: the same placements as allocation_optimization,
+  /// but GPUs keep their ids and emptied ones are dropped with theirs
+  /// released (DeploymentPlan::compact), so nothing untouched is relabelled.
+  DeploymentPlan reoptimize(DeploymentPlan plan, std::span<const ConfiguredService> services) const;
 
   /// Incremental placement used by the reconfiguration path (Section
   /// III-F): places one service's segments into an existing map without

@@ -1,6 +1,7 @@
 #include "core/deployer.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.hpp"
 
@@ -60,11 +61,19 @@ Result<DeployedState> Deployer::deploy(const Deployment& deployment) {
                  "Deployer materialises MIG-backed deployments; MPS-share baselines manage "
                  "whole GPUs directly");
   }
+  for (const DeployedUnit& unit : deployment.units) {
+    if (unit.gpu_index < 0 || unit.gpu_index >= deployment.gpu_count) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "unit on gpu " + std::to_string(unit.gpu_index) + " lies outside the " +
+                       std::to_string(deployment.gpu_count) + "-device span");
+    }
+  }
   DeployedState state;
   state.unit_instances.reserve(deployment.units.size());
   DeployStats stats;
 
-  // Grow the cluster up front so placements land on the intended devices.
+  // Grow the cluster up front, over the whole device span, so placements
+  // land on the intended devices.
   while (nvml_->cluster().size() < static_cast<std::size_t>(deployment.gpu_count)) {
     auto grown = nvml_->cluster().add_gpu();
     if (!grown.ok()) return grown.error();

@@ -1,5 +1,6 @@
 #include "core/deployment.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "gpu/arch.hpp"
@@ -8,6 +9,14 @@ namespace parva::core {
 
 int DeployedUnit::granted_sms() const {
   return static_cast<int>(std::lround(gpc_grant * gpu::kSmsPerGpc));
+}
+
+int Deployment::gpus_in_use() const {
+  std::vector<int> gpus;
+  gpus.reserve(units.size());
+  for (const auto& unit : units) gpus.push_back(unit.gpu_index);
+  std::sort(gpus.begin(), gpus.end());
+  return static_cast<int>(std::unique(gpus.begin(), gpus.end()) - gpus.begin());
 }
 
 double Deployment::total_granted_gpcs() const {

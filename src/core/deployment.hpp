@@ -47,9 +47,15 @@ struct DeployedUnit {
 struct Deployment {
   std::string framework;
   bool uses_mig = false;
+  /// Device span: every unit's gpu_index is below it. A fresh plan uses
+  /// all of these devices; after live updates drop GPUs (ids stay stable)
+  /// or a repair retires one, some may hold no unit. Count the GPUs that
+  /// do with gpus_in_use().
   int gpu_count = 0;
   std::vector<DeployedUnit> units;
 
+  /// Distinct GPUs holding at least one unit.
+  int gpus_in_use() const;
   double total_granted_gpcs() const;
   std::vector<const DeployedUnit*> units_for_service(int service_id) const;
   /// Aggregate ground-truth capacity of a service across its units.

@@ -94,7 +94,8 @@ Result<LiveUpdateReport> LiveUpdater::apply(const Deployment& current, DeployedS
   for (const DeployedUnit* unit : to_add) affected.insert(unit->service_id);
 
   // Phase 0 (shadowed only): clone one serving segment per affected
-  // service onto the spare pool (GPUs beyond the target's footprint).
+  // service onto the spare pool: devices past both spans (gpu_count), so
+  // past every gpu_index either deployment uses.
   const double per_unit_create =
       costs_.create_instance_ms + costs_.start_mps_ms + costs_.launch_process_ms;
   std::map<int, gpu::GlobalInstanceId> shadows;

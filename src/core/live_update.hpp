@@ -66,8 +66,9 @@ class LiveUpdater {
   /// Transitions the cluster from (current, state) to `target`.
   /// On success `state` describes the target deployment's instances.
   /// kShadowed places one shadow segment per affected service on GPUs
-  /// beyond the target's count (the spare pool); if no shadow placement is
-  /// possible for a service it falls back to in-place for that service.
+  /// beyond both deployments' device spans (the spare pool), so no shadow
+  /// lands on a live device even when ids have gaps; if no shadow placement
+  /// is possible for a service it falls back to in-place for that service.
   [[nodiscard]] Result<LiveUpdateReport> apply(const Deployment& current, DeployedState& state,
                                  const Deployment& target, UpdateStrategy strategy);
 

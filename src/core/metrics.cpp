@@ -13,7 +13,7 @@ namespace parva::core {
 UtilizationMetrics compute_metrics(const Deployment& deployment,
                                    std::span<const ServiceSpec> services) {
   UtilizationMetrics metrics;
-  metrics.gpu_count = deployment.gpu_count;
+  metrics.gpu_count = deployment.gpus_in_use();
   metrics.total_granted_gpcs = deployment.total_granted_gpcs();
 
   // One-time id -> spec map; the per-unit find_if this replaces made the
@@ -58,7 +58,7 @@ UtilizationMetrics compute_metrics(const Deployment& deployment,
   metrics.internal_slack = granted_sms <= 0.0 ? 0.0 : 1.0 - busy_sms / granted_sms;
 
   const double cluster_sms =
-      static_cast<double>(deployment.gpu_count) * gpu::kSmsPerGpu;
+      static_cast<double>(metrics.gpu_count) * gpu::kSmsPerGpu;
   metrics.external_fragmentation =
       cluster_sms <= 0.0 ? 0.0 : std::max(0.0, 1.0 - granted_sms / cluster_sms);
   return metrics;

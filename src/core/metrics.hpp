@@ -9,7 +9,8 @@
 //
 //   External fragmentation (Eq. 4 complement):
 //       1 - sum_i(SM_i) / (G * S)
-//   the fraction of cluster SMs granted to nobody.
+//   the fraction of cluster SMs granted to nobody, over the G GPUs that
+//   hold units (a device id a live update released is not a GPU).
 #pragma once
 
 #include <span>
@@ -19,7 +20,7 @@
 namespace parva::core {
 
 struct UtilizationMetrics {
-  int gpu_count = 0;
+  int gpu_count = 0;  ///< GPUs holding units (Deployment::gpus_in_use)
   double internal_slack = 0.0;          ///< [0,1]
   double external_fragmentation = 0.0;  ///< [0,1]
   double total_granted_gpcs = 0.0;

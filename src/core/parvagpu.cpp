@@ -1,7 +1,9 @@
 #include "core/parvagpu.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <unordered_map>
 
 namespace parva::core {
 namespace {
@@ -41,22 +43,24 @@ Deployment ParvaGpuScheduler::to_deployment(const DeploymentPlan& plan,
   Deployment deployment;
   deployment.framework = std::move(framework_name);
   deployment.uses_mig = true;
-  deployment.gpu_count = static_cast<int>(plan.gpus_in_use());
-  for (const auto& [gpu_index, placed] : plan.all_segments()) {
-    DeployedUnit unit;
-    unit.service_id = placed->service_id;
-    unit.gpu_index = static_cast<int>(gpu_index);
-    unit.gpc_grant = static_cast<double>(placed->triplet.gpcs);
-    unit.placement = placed->placement;
-    unit.batch = placed->triplet.batch;
-    unit.procs = placed->triplet.procs;
-    unit.planned_throughput = placed->triplet.throughput;
-    unit.planned_latency_ms = placed->triplet.latency_ms;
-    unit.actual_throughput = placed->triplet.throughput;  // MIG: no interference
-    unit.actual_latency_ms = placed->triplet.latency_ms;
-    unit.sm_occupancy = placed->triplet.sm_occupancy;
-    unit.memory_gib = placed->triplet.memory_gib;
-    deployment.units.push_back(std::move(unit));
+  for (const GpuPlan& gpu : plan.gpus()) {
+    for (const PlacedSegment& placed : gpu.segments()) {
+      DeployedUnit unit;
+      unit.service_id = placed.service_id;
+      unit.gpu_index = gpu.id();
+      unit.gpc_grant = static_cast<double>(placed.triplet.gpcs);
+      unit.placement = placed.placement;
+      unit.batch = placed.triplet.batch;
+      unit.procs = placed.triplet.procs;
+      unit.planned_throughput = placed.triplet.throughput;
+      unit.planned_latency_ms = placed.triplet.latency_ms;
+      unit.actual_throughput = placed.triplet.throughput;  // MIG: no interference
+      unit.actual_latency_ms = placed.triplet.latency_ms;
+      unit.sm_occupancy = placed.triplet.sm_occupancy;
+      unit.memory_gib = placed.triplet.memory_gib;
+      deployment.units.push_back(std::move(unit));
+      deployment.gpu_count = std::max(deployment.gpu_count, gpu.id() + 1);
+    }
   }
   return deployment;
 }
@@ -79,12 +83,14 @@ Result<ScheduleResult> ParvaGpuScheduler::schedule(std::span<const ServiceSpec> 
 
   ScheduleResult result;
   result.deployment = to_deployment(last_plan_, name());
+  std::unordered_map<int, const std::string*> model_of;
+  model_of.reserve(last_configured_.size());
+  for (const ConfiguredService& service : last_configured_) {
+    model_of.emplace(service.spec.id, &service.spec.model);
+  }
   for (auto& unit : result.deployment.units) {
-    for (const ConfiguredService& service : last_configured_) {
-      if (service.spec.id == unit.service_id) {
-        unit.model = service.spec.model;
-        break;
-      }
+    if (const auto it = model_of.find(unit.service_id); it != model_of.end()) {
+      unit.model = *it->second;
     }
   }
   result.scheduling_delay_ms =

@@ -51,7 +51,8 @@ class ParvaGpuScheduler final : public Scheduler {
   const std::vector<ConfiguredService>& last_configured() const { return last_configured_; }
 
   /// Converts a deployment map into the framework-neutral form. MIG
-  /// isolation means actual == planned for every unit.
+  /// isolation means actual == planned for every unit. A unit's gpu_index
+  /// is its GPU's id, so gpu_count is one past the largest id in use.
   static Deployment to_deployment(const DeploymentPlan& plan, std::string framework_name);
 
   const ParvaGpuOptions& parva_options() const { return options_; }

@@ -1,5 +1,8 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/error.hpp"
 
 namespace parva::core {
@@ -71,20 +74,32 @@ std::size_t DeploymentPlan::place_first_fit(int service_id, const Triplet& tripl
   for (std::size_t i = from; i < gpus_.size(); ++i) {
     if (gpus_[i].try_place(service_id, triplet)) return i;
   }
-  gpus_.emplace_back(static_cast<int>(gpus_.size()));
-  const bool placed = gpus_.back().try_place(service_id, triplet);
+  const bool placed = add_gpu().try_place(service_id, triplet);
   PARVA_CHECK(placed, "fresh GPU must fit any single segment");
   return gpus_.size() - 1;
 }
 
+GpuPlan& DeploymentPlan::add_gpu() {
+  if (released_ids_.empty()) return gpus_.emplace_back(next_id_++);
+  std::pop_heap(released_ids_.begin(), released_ids_.end(), std::greater<>());
+  const int id = released_ids_.back();
+  released_ids_.pop_back();
+  return gpus_.emplace_back(id);
+}
+
 void DeploymentPlan::compact() {
-  std::vector<GpuPlan> kept;
-  kept.reserve(gpus_.size());
-  for (auto& gpu : gpus_) {
-    if (!gpu.empty()) kept.push_back(std::move(gpu));
+  for (const GpuPlan& gpu : gpus_) {
+    if (!gpu.empty()) continue;
+    released_ids_.push_back(gpu.id());
+    std::push_heap(released_ids_.begin(), released_ids_.end(), std::greater<>());
   }
-  for (std::size_t i = 0; i < kept.size(); ++i) kept[i].set_id(static_cast<int>(i));
-  gpus_ = std::move(kept);
+  std::erase_if(gpus_, [](const GpuPlan& gpu) { return gpu.empty(); });
+}
+
+void DeploymentPlan::renumber() {
+  for (std::size_t i = 0; i < gpus_.size(); ++i) gpus_[i].id_ = static_cast<int>(i);
+  next_id_ = static_cast<int>(gpus_.size());
+  released_ids_.clear();
 }
 
 int DeploymentPlan::total_allocated_gpcs() const {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@ class GpuPlan {
  public:
   explicit GpuPlan(int id) : id_(id) {}
 
+  /// Device id: the GPU's identity for its whole life in a DeploymentPlan,
+  /// emitted as DeployedUnit::gpu_index. Only DeploymentPlan assigns it.
   int id() const { return id_; }
-  void set_id(int id) { id_ = id; }
 
   std::uint8_t occupied_mask() const { return occupied_mask_; }
   const std::vector<PlacedSegment>& segments() const { return segments_; }
@@ -54,17 +56,23 @@ class GpuPlan {
   std::string to_string() const;
 
  private:
+  friend class DeploymentPlan;  // assigns ids
+
   int id_;
   std::uint8_t occupied_mask_ = 0;
   std::vector<PlacedSegment> segments_;
 };
 
-/// The full deployment map across GPUs.
+/// The full deployment map across GPUs. Vector order drives first-fit and
+/// the optimization stage; ids are labels that stay fixed while GPUs come
+/// and go, so a live update rebuilds only the segments that moved.
 class DeploymentPlan {
  public:
   std::size_t gpu_count() const { return gpus_.size(); }
   const std::vector<GpuPlan>& gpus() const { return gpus_; }
-  std::vector<GpuPlan>& gpus() { return gpus_; }
+  /// GPUs may gain and lose segments through this view; only add_gpu()
+  /// appends one, so ids stay unique.
+  std::span<GpuPlan> gpus() { return gpus_; }
 
   GpuPlan& gpu(std::size_t index) { return gpus_.at(index); }
   const GpuPlan& gpu(std::size_t index) const { return gpus_.at(index); }
@@ -77,21 +85,32 @@ class DeploymentPlan {
   /// same-size segments in a row may resume from the last index returned.
   std::size_t place_first_fit(int service_id, const Triplet& triplet, std::size_t from = 0);
 
-  /// Drops empty GPUs and renumbers the rest contiguously.
+  /// Appends an empty GPU under the lowest id compact() released, or else
+  /// the next fresh id, and returns it.
+  GpuPlan& add_gpu();
+
+  /// Drops empty GPUs. The rest keep their ids and order; the dropped ids
+  /// are released for add_gpu() to reuse.
   void compact();
+
+  /// Relabels the GPUs 0..n-1 in order and forgets released ids: the dense
+  /// numbering of a fresh plan, before any of it is deployed.
+  void renumber();
 
   /// Total GPCs allocated across all GPUs.
   int total_allocated_gpcs() const;
   /// GPUs holding at least one segment.
   std::size_t gpus_in_use() const;
 
-  /// All placed segments (gpu index, segment).
+  /// All placed segments (position in gpus(), segment), in plan order.
   std::vector<std::pair<std::size_t, const PlacedSegment*>> all_segments() const;
 
   std::string to_string() const;
 
  private:
   std::vector<GpuPlan> gpus_;
+  std::vector<int> released_ids_;  ///< min-heap (std::greater)
+  int next_id_ = 0;                ///< one past every id handed out
 };
 
 }  // namespace parva::core

@@ -69,7 +69,8 @@ Result<ReconfigureStats> Reconfigurer::apply_update(DeploymentPlan& plan,
   stats.segments_added = static_cast<int>(after_units - before_units);
 
   // Update the configured set, then run the optimization stage to squeeze
-  // out fragmentation the update may have opened.
+  // out fragmentation the update may have opened. GPUs keep their ids, so
+  // emptying one relabels no other.
   const auto it = std::find_if(configured.begin(), configured.end(), [&](const auto& c) {
     return c.spec.id == updated_spec.id;
   });
@@ -78,8 +79,7 @@ Result<ReconfigureStats> Reconfigurer::apply_update(DeploymentPlan& plan,
   } else {
     configured.push_back(service);
   }
-  plan = allocator_.allocation_optimization(std::move(plan), configured);
-  plan.compact();
+  plan = allocator_.reoptimize(std::move(plan), configured);
 
   if (telemetry_ != nullptr) {
     telemetry_->events().record(

@@ -1,6 +1,7 @@
 #include "scenarios/experiment.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -83,22 +84,24 @@ namespace {
 /// unusable holes the Allocation Optimization targets (a cluster always has
 /// a rounding remainder on its last GPU).
 double fragmentation_excluding_tail(const core::Deployment& deployment) {
-  if (deployment.gpu_count <= 1) return 0.0;
-  // Per-GPU granted GPCs.
-  std::vector<double> granted(static_cast<std::size_t>(deployment.gpu_count), 0.0);
+  // Granted GPCs per GPU holding units, in ascending device order; a
+  // device id no unit uses is not a GPU (and must not become the tail).
+  std::map<int, double> granted;
   for (const core::DeployedUnit& unit : deployment.units) {
-    if (unit.gpu_index >= 0 && unit.gpu_index < deployment.gpu_count) {
-      granted[static_cast<std::size_t>(unit.gpu_index)] += unit.gpc_grant;
-    }
+    granted[unit.gpu_index] += unit.gpc_grant;
   }
+  if (granted.size() <= 1) return 0.0;
   // The least-filled GPU is the rounding tail; exclude it.
-  const auto tail = std::min_element(granted.begin(), granted.end());
+  double tail = granted.begin()->second;
   double total = 0.0;
-  // parva-audit: allow(R14): summed in fixed vector index order.
-  for (double g : granted) total += g;
-  total -= *tail;
+  for (const auto& [gpu, gpcs] : granted) {
+    tail = std::min(tail, gpcs);
+    // parva-audit: allow(R14): summed in ascending device order.
+    total += gpcs;
+  }
+  total -= tail;
   const double capacity =
-      static_cast<double>(deployment.gpu_count - 1) * gpu::kGpcSlots;
+      static_cast<double>(granted.size() - 1) * gpu::kGpcSlots;
   return capacity <= 0.0 ? 0.0 : std::max(0.0, 1.0 - total / capacity);
 }
 

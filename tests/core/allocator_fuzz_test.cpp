@@ -4,7 +4,8 @@
 //   * every GPU layout is geometrically legal (no slot overlap),
 //   * every service's placed capacity covers its request rate,
 //   * every placed segment respects the internal latency bound,
-//   * Allocation Optimization never uses more GPUs than relocation alone.
+//   * Allocation Optimization never uses more GPUs than relocation alone,
+//   * a fresh plan numbers its GPUs 0..n-1 in plan order.
 // Differentially, on the same draws, on S5 x100 and on plans with holes:
 //   * the allocator's resumable first-fit places every segment exactly
 //     where a front-to-back scan of Algorithm 2 (the oracle below) does.
@@ -47,6 +48,9 @@ FuzzDraw draw_services(Rng& rng) {
 
 void check_plan(const DeploymentPlan& plan, const std::vector<ConfiguredService>& configured,
                 std::uint64_t seed) {
+  for (std::size_t i = 0; i < plan.gpu_count(); ++i) {
+    ASSERT_EQ(plan.gpu(i).id(), static_cast<int>(i)) << "seed " << seed;
+  }
   // Geometric validity.
   for (const auto& gpu : plan.gpus()) {
     std::uint8_t mask = 0;
@@ -101,8 +105,7 @@ void oracle_allocation(const OracleQueues& queues, DeploymentPlan& plan) {
         if ((placed = gpu.try_place(service_id, triplet))) break;
       }
       if (placed) continue;
-      plan.gpus().emplace_back(static_cast<int>(plan.gpu_count()));
-      ASSERT_TRUE(plan.gpus().back().try_place(service_id, triplet));
+      ASSERT_TRUE(plan.add_gpu().try_place(service_id, triplet));
     }
   }
 }
@@ -141,7 +144,8 @@ std::vector<Triplet> oracle_small_segments(const ConfiguredService& service, dou
 }
 
 /// Full Algorithm 2: relocation, then optimization of GPUs at or below
-/// 4 allocated GPCs, walked from the back with a carried freed-rate ledger.
+/// 4 allocated GPCs, walked from the back with a carried freed-rate ledger,
+/// and the fresh plan's dense renumbering.
 DeploymentPlan oracle_allocate(const std::vector<ConfiguredService>& services) {
   DeploymentPlan plan = oracle_relocation(services);
   const std::size_t before = plan.gpus_in_use();
@@ -166,10 +170,10 @@ DeploymentPlan oracle_allocate(const std::vector<ConfiguredService>& services) {
     }
     oracle_allocation(queues, candidate);
   }
-  candidate.compact();
-  if (candidate.gpus_in_use() <= before) return candidate;
-  plan.compact();
-  return plan;
+  DeploymentPlan& chosen = candidate.gpus_in_use() <= before ? candidate : plan;
+  chosen.compact();
+  chosen.renumber();
+  return chosen;
 }
 
 /// Frees the first segment of every `stride`-th GPU, leaving holes that a

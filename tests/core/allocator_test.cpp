@@ -146,9 +146,7 @@ TEST(AllocatorTest, SurplusCarriesAcrossGpus) {
       configured(2, 1, 100, 1),
   };
   DeploymentPlan plan;
-  plan.gpus().emplace_back(0);
-  plan.gpus().emplace_back(1);
-  plan.gpus().emplace_back(2);
+  for (int id = 0; id < 3; ++id) ASSERT_EQ(plan.add_gpu().id(), id);
   ASSERT_TRUE(plan.gpu(0).try_place_at(1, triplet(4, 900), 0));
   ASSERT_TRUE(plan.gpu(0).try_place_at(2, triplet(1, 100), 4));
   ASSERT_TRUE(plan.gpu(1).try_place_at(0, triplet(3, 750), 4));
@@ -167,6 +165,43 @@ TEST(AllocatorTest, SurplusCarriesAcrossGpus) {
   EXPECT_GE(capacity_a + 1e-9, 1500.0);
   EXPECT_EQ(small_count_a, 3);
   EXPECT_EQ(optimized.gpu_count(), 2u);  // one lone-3g GPU dissolved away
+}
+
+TEST(AllocatorTest, FreshOptimizationRenumbersLiveOneKeepsIds) {
+  // GPU1's lone 3g (750 req/s) re-expresses as two 1g segments that sink
+  // into the anchor GPU's free slots, emptying a GPU mid-plan; GPU2's 7g is
+  // above the threshold and stays.
+  const std::vector<ConfiguredService> services = {
+      configured(0, 3, 750, 1, std::nullopt, triplet(1, 700)),
+      configured(1, 4, 900, 1),
+      configured(2, 1, 100, 1),
+      configured(3, 7, 2000, 1),
+  };
+  DeploymentPlan plan;
+  for (int id = 0; id < 3; ++id) ASSERT_EQ(plan.add_gpu().id(), id);
+  ASSERT_TRUE(plan.gpu(0).try_place_at(1, triplet(4, 900), 0));
+  ASSERT_TRUE(plan.gpu(0).try_place_at(2, triplet(1, 100), 4));
+  ASSERT_TRUE(plan.gpu(1).try_place_at(0, triplet(3, 750), 4));
+  ASSERT_TRUE(plan.gpu(2).try_place_at(3, triplet(7, 2000), 0));
+
+  const SegmentAllocator allocator;
+  DeploymentPlan live = allocator.reoptimize(plan, services);
+  DeploymentPlan fresh = allocator.allocation_optimization(plan, services);
+  expect_valid(live);
+  ASSERT_EQ(live.gpu_count(), 2u);
+  ASSERT_EQ(fresh.gpu_count(), 2u);
+  // Same placements; only the labels differ. The live map keeps GPU2's id
+  // and releases id 1 for the next GPU; the fresh map is dense.
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(live.gpu(i).segments().size(), fresh.gpu(i).segments().size());
+  }
+  EXPECT_EQ(live.gpu(0).segments().size(), 4u);
+  EXPECT_EQ(live.gpu(0).id(), 0);
+  EXPECT_EQ(live.gpu(1).id(), 2);
+  EXPECT_EQ(fresh.gpu(0).id(), 0);
+  EXPECT_EQ(fresh.gpu(1).id(), 1);
+  EXPECT_EQ(live.add_gpu().id(), 1);
+  EXPECT_EQ(fresh.add_gpu().id(), 2);
 }
 
 TEST(AllocatorTest, ThresholdZeroDisablesDissolution) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/parvagpu.hpp"
 #include "core/reconfigure.hpp"
+#include "scenarios/scenarios.hpp"
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -319,6 +321,61 @@ TEST_F(LiveUpdateTest, ShadowTemplatesPickSmallestFirstUnit) {
   EXPECT_DOUBLE_EQ(report.value().downtime_ms.at(0), 0.0);
   EXPECT_DOUBLE_EQ(report.value().downtime_ms.at(1), 0.0);
   EXPECT_GT(report.value().downtime_ms.at(3), 0.0);
+}
+
+TEST_F(LiveUpdateTest, ShadowsAfterAGpuDropLandOnNoLiveDevice) {
+  // Seeded updates, applied in place, until the plan has dropped a GPU
+  // mid-plan (its device span exceeds the GPUs in use) and counting the
+  // GPUs in use would name a live device as the first spare. That update
+  // is applied shadowed: every shadow must land past both spans.
+  const scenarios::Scenario fleet = scenarios::scale_scenario(scenarios::scenario("S5"), 10);
+  ParvaGpuScheduler scheduler(builtin_profiles());
+  Deployment current = scheduler.schedule(fleet.services).value().deployment;
+  DeploymentPlan plan = scheduler.last_plan();
+  std::vector<ConfiguredService> configured = scheduler.last_configured();
+  std::vector<ServiceSpec> specs = fleet.services;
+  auto state = deployer_.deploy(current).value();
+  const Reconfigurer reconfigurer{SegmentConfigurator(), SegmentAllocator()};
+
+  Rng rng(11);
+  bool shadowed = false;
+  for (int step = 0; step < 200 && !shadowed; ++step) {
+    ServiceSpec spec = fleet.services[rng.uniform_int(0, fleet.services.size() - 1)];
+    spec.request_rate *= rng.uniform(0.6, 1.4);
+    specs[static_cast<std::size_t>(spec.id)] = spec;
+    ASSERT_TRUE(reconfigurer.update_service(plan, configured, spec, builtin_profiles()).ok());
+    Deployment target = ParvaGpuScheduler::to_deployment(plan, "ParvaGPU");
+    for (DeployedUnit& unit : target.units) {
+      unit.model = specs[static_cast<std::size_t>(unit.service_id)].model;
+    }
+    std::set<int> live;
+    for (const DeployedUnit& unit : current.units) live.insert(unit.gpu_index);
+    for (const DeployedUnit& unit : target.units) live.insert(unit.gpu_index);
+    const bool gap = current.gpus_in_use() < current.gpu_count;
+    shadowed = gap && live.count(std::max(current.gpus_in_use(), target.gpus_in_use())) != 0;
+
+    nvml_.clear_operation_log();
+    const auto report = updater_.apply(
+        current, state, target, shadowed ? UpdateStrategy::kShadowed : UpdateStrategy::kInPlace);
+    ASSERT_TRUE(report.ok()) << "step " << step << ": " << report.error().to_string();
+    if (shadowed) {
+      ASSERT_GT(report.value().shadow_units, 0);
+      EXPECT_EQ(report.value().worst_downtime_ms(), 0.0);
+      // Phase 0 creates the shadows before anything else happens.
+      const auto creates = ops_with_prefix(nvml_, "create_gi_placed gpu=");
+      ASSERT_GE(creates.size(), static_cast<std::size_t>(report.value().shadow_units));
+      for (int i = 0; i < report.value().shadow_units; ++i) {
+        const std::string& op = creates[static_cast<std::size_t>(i)];
+        const int device = std::stoi(op.substr(std::string("create_gi_placed gpu=").size()));
+        EXPECT_EQ(live.count(device), 0u) << op;
+        EXPECT_GE(device, std::max(current.gpu_count, target.gpu_count)) << op;
+      }
+    }
+    EXPECT_EQ(cluster_.total_allocated_gpcs(),
+              static_cast<int>(std::lround(target.total_granted_gpcs())));
+    current = std::move(target);
+  }
+  EXPECT_TRUE(shadowed) << "no update followed a mid-plan GPU drop";
 }
 
 }  // namespace

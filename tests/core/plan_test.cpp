@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/core/test_support.hpp"
 
 namespace parva::core {
@@ -66,17 +68,52 @@ TEST(DeploymentPlanTest, FirstFitFillsEarlierGaps) {
   EXPECT_EQ(plan.gpu(0).allocated_gpcs(), 7);
 }
 
-TEST(DeploymentPlanTest, CompactDropsEmptyAndRenumbers) {
+/// GPU ids in plan order.
+std::vector<int> ids_of(const DeploymentPlan& plan) {
+  std::vector<int> ids;
+  for (const GpuPlan& gpu : plan.gpus()) ids.push_back(gpu.id());
+  return ids;
+}
+
+TEST(DeploymentPlanTest, CompactDropsEmptyAndKeepsIds) {
   DeploymentPlan plan;
-  plan.place_first_fit(0, triplet(7, 100));
-  plan.place_first_fit(1, triplet(7, 100));
-  plan.place_first_fit(2, triplet(7, 100));
+  for (int s = 0; s < 4; ++s) plan.place_first_fit(s, triplet(7, 100));
+  plan.gpu(2).remove_segment(0);
   plan.gpu(1).remove_segment(0);
   plan.compact();
-  ASSERT_EQ(plan.gpu_count(), 2u);
-  EXPECT_EQ(plan.gpu(0).id(), 0);
-  EXPECT_EQ(plan.gpu(1).id(), 1);
+  EXPECT_EQ(ids_of(plan), (std::vector<int>{0, 3}));
   EXPECT_EQ(plan.gpus_in_use(), 2u);
+  // Appends reuse the lowest released id first, then the next fresh one;
+  // they still go to the back, so plan order (and first-fit) is unchanged.
+  EXPECT_EQ(plan.add_gpu().id(), 1);
+  EXPECT_EQ(plan.place_first_fit(9, triplet(7, 100)), 2u);
+  EXPECT_EQ(plan.gpu(2).id(), 1);
+  EXPECT_EQ(plan.add_gpu().id(), 2);
+  EXPECT_EQ(plan.add_gpu().id(), 4);
+  EXPECT_EQ(ids_of(plan), (std::vector<int>{0, 3, 1, 2, 4}));
+  EXPECT_EQ(plan.to_string(), "GPU0{s0:7@0} GPU3{s3:7@0} GPU1{s9:7@0} GPU2{} GPU4{}");
+}
+
+TEST(DeploymentPlanTest, RenumberIsDenseAndForgetsReleasedIds) {
+  DeploymentPlan plan;
+  for (int s = 0; s < 3; ++s) plan.place_first_fit(s, triplet(7, 100));
+  plan.gpu(0).remove_segment(0);
+  plan.compact();
+  EXPECT_EQ(ids_of(plan), (std::vector<int>{1, 2}));
+  plan.renumber();
+  EXPECT_EQ(ids_of(plan), (std::vector<int>{0, 1}));
+  EXPECT_EQ(plan.add_gpu().id(), 2);  // id 0's release is forgotten
+  EXPECT_EQ(plan.to_string(), "GPU0{s1:7@0} GPU1{s2:7@0} GPU2{}");
+}
+
+TEST(DeploymentPlanTest, CopiesKeepTheIdLedger) {
+  DeploymentPlan plan;
+  for (int s = 0; s < 3; ++s) plan.place_first_fit(s, triplet(7, 100));
+  plan.gpu(1).remove_segment(0);
+  plan.compact();
+  DeploymentPlan copy = plan;
+  EXPECT_EQ(copy.add_gpu().id(), 1);
+  EXPECT_EQ(plan.add_gpu().id(), 1);
 }
 
 TEST(DeploymentPlanTest, Accounting) {
